@@ -110,6 +110,33 @@ def test_e14_target_indexing(benchmark):
     benchmark(lambda: big.decide(hot))
 
 
+def indexed_us_per_decision(count, trials=5):
+    """Best-of-``trials`` wall µs per indexed decision at ``count``
+    policies, over 200 requests that each hit one policy."""
+    engine = PdpEngine(PolicyStore(indexed=True))
+    for index in range(count):
+        engine.add_policy(resource_policy(index))
+    requests = [
+        RequestContext.simple(f"owner-{i % count}", f"res-{i % count}", "read")
+        for i in range(200)
+    ]
+    timed_decisions(engine, requests)  # warm-up
+    best = min(timed_decisions(engine, requests) for _ in range(trials))
+    return best / len(requests) * 1e6
+
+
+def test_e14_indexed_cost_flat_in_wall_clock():
+    """The index's claim in real time, not just in policies considered:
+    a decision against 5000 policies costs about what it costs against
+    10.  Both figures come from one process, so the ratio holds on any
+    machine."""
+    small = indexed_us_per_decision(10)
+    large = indexed_us_per_decision(5000)
+    print(f"\nE14c indexed us/decision: 10 policies {small:.1f}, "
+          f"5000 policies {large:.1f} (ratio {large / small:.2f})")
+    assert large <= 1.5 * small
+
+
 def test_e14_identity_vs_role_policies(benchmark):
     experiment = Experiment(
         exp_id="E14b",

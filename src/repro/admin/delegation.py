@@ -207,19 +207,23 @@ class DelegationRegistry:
     # -- PAP integration --------------------------------------------------------------
 
     def policy_scope(self, element: PolicyElement) -> Scope:
-        """Best-effort scope extraction from a policy's target literals."""
-        from ..xacml.attributes import (
-            ACTION_ID,
-            Category,
-            RESOURCE_ID,
-        )
+        """The resource/action scope a policy's target provably stays in.
 
-        keys = element.target.literal_equality_keys()
-        resources = keys.get((Category.RESOURCE, RESOURCE_ID), set())
-        actions = keys.get((Category.ACTION, ACTION_ID), set())
+        Each dimension comes from :meth:`~repro.xacml.targets.Target.
+        constraining_values`, so a target that can match any resource —
+        ``AnyOf[AllOf(resource=r1), AllOf(subject=s1)]`` matches every
+        resource through its subject branch — gets ``"*"`` there, as
+        does one that allows several values.
+        """
+        from ..xacml.attributes import ACTION_ID, Category, RESOURCE_ID
+
+        def dimension(category: Category, attribute_id: str) -> str:
+            values = element.target.constraining_values(category, attribute_id)
+            return next(iter(values)) if values and len(values) == 1 else "*"
+
         return Scope(
-            resource_id=next(iter(resources)) if len(resources) == 1 else "*",
-            action_id=next(iter(actions)) if len(actions) == 1 else "*",
+            resource_id=dimension(Category.RESOURCE, RESOURCE_ID),
+            action_id=dimension(Category.ACTION, ACTION_ID),
         )
 
     def pap_guard(self, operation: str, requester: str, policy_id: str) -> bool:

@@ -241,6 +241,9 @@ class PolicyDecisionPoint(Component):
             "subject": Category.SUBJECT,
             "resource": Category.RESOURCE,
         }.get(partition.spec.shard_by) if partition is not None else None
+        # One resolver call per identifier per request, however many
+        # designators ask about it.
+        resolved: dict[str, dict[str, list[AttributeValue]]] = {}
 
         def finder(
             category: Category, attribute_id: str, data_type: DataType
@@ -259,7 +262,9 @@ class PolicyDecisionPoint(Component):
                     if values:
                         return values
                 elif resolver is not None:
-                    attributes = resolver(about) or {}
+                    attributes = resolved.get(about)
+                    if attributes is None:
+                        attributes = resolved[about] = resolver(about) or {}
                     values = [
                         value
                         for value in attributes.get(attribute_id, [])

@@ -162,6 +162,19 @@ class RequestContext:
             )
         return Bag(collected)
 
+    def string_values(
+        self, category: Category, attribute_id: str
+    ) -> tuple[str, ...]:
+        """Every string value of the attribute, from any issuer, in order —
+        exactly the bag an issuer-free string designator resolves to."""
+        return tuple(
+            value.value
+            for attribute in self._attributes[category]
+            if attribute.attribute_id == attribute_id
+            for value in attribute.values
+            if value.data_type is DataType.STRING
+        )
+
     def first_value(
         self, category: Category, attribute_id: str
     ) -> Optional[AttributeValue]:

@@ -1,14 +1,31 @@
 """The XACML evaluation engine: what beats inside every PDP.
 
 The engine evaluates a request context against a policy store and returns
-a response context.  Two store strategies are provided:
+a response context.  :class:`PolicyStore` holds the top-level elements
+and, unless built with ``indexed=False``, a target index that hands the
+engine only the elements that could apply to a request.  The index is
+the mechanism behind the scalability shape of experiment E14, and its
+contract is:
 
-* :class:`PolicyStore` — the straightforward "evaluate the root element"
-  model of the standard;
-* target indexing — an optimisation that buckets policies by the literal
-  subject/resource/action equality constraints in their targets, so that
-  requests only evaluate plausibly-applicable policies.  This is the
-  mechanism behind the scalability shape of experiment E14.
+* **sound keys** — an element is filed under one request identifier
+  (subject-, resource- or action-id) only when
+  :meth:`~repro.xacml.targets.Target.constraining_values` proves, from
+  ``string-equal`` matches alone, which values that identifier must take
+  for the target to match.  Every other element is unindexable and is a
+  candidate for every request;
+* **every value** — a request is looked up under each of its string
+  values for an identifier, not just the first;
+* **missing-id fallback** — a request with no value for an identifier
+  gets every element filed under it, because the PIP may still supply
+  the value during evaluation;
+* **insertion order** — candidates come back in the order the store
+  received them (:meth:`PolicyStore.replace` moves an element to the
+  end), so indexing never changes what a combining algorithm sees;
+* **O(candidates) cost** — a lookup merges the few matching postings
+  and never walks the whole store.
+
+Indexing therefore never changes a decision, only which elements get
+*checked*; hypothesis tests pin that against the unindexed store.
 """
 
 from __future__ import annotations
@@ -23,6 +40,15 @@ from .expressions import AttributeFinder, EvaluationContext
 from .policy import Policy, PolicyResult, PolicySet, child_identifier
 
 PolicyElement = Union[Policy, PolicySet]
+#: A (category, attribute id) pair naming one request identifier.
+Family = tuple[Category, str]
+
+#: The identifiers the target index files elements under.
+INDEXED_FAMILIES: tuple[Family, ...] = (
+    (Category.SUBJECT, SUBJECT_ID),
+    (Category.RESOURCE, RESOURCE_ID),
+    (Category.ACTION, ACTION_ID),
+)
 
 
 @dataclass
@@ -60,11 +86,14 @@ class AnalysisGateError(ValueError):
 class PolicyStore:
     """Holds top-level policy elements and finds the applicable ones.
 
-    With ``indexed=True`` the store maintains inverted indexes over the
-    literal equality keys of each element's target.  A request then only
-    evaluates elements whose indexed constraints are satisfiable, plus all
-    unindexable elements.  Indexing never changes decisions — only which
-    elements get *checked* — and a property test asserts exactly that.
+    With ``indexed=True`` (the default) the store keeps the target index
+    the module docstring specifies.  Each :meth:`add` stamps the element
+    with an insertion sequence number and files it in postings — dicts
+    from sequence number to element, so each posting is already in
+    insertion order.  :meth:`candidates` merges the postings a request
+    selects (plus the unindexable set) by sequence number, costing
+    O(candidates); :meth:`remove` unfiles an element through a reverse
+    map of the postings it sits in.
 
     ``analysis_gate`` opts into pre-deployment static analysis on every
     :meth:`add`: ``"error"`` refuses elements with ERROR-severity
@@ -88,8 +117,14 @@ class PolicyStore:
         self.analysis_gate = analysis_gate
         self.metrics = metrics
         self._elements: dict[str, PolicyElement] = {}
-        self._index: dict[tuple[Category, str, str], set[str]] = {}
-        self._unindexable: set[str] = set()
+        self._next_seq = 0
+        #: identifier -> (sequence number, family filed under or None,
+        #: values filed under): the reverse map :meth:`remove` uses.
+        self._filed: dict[str, tuple[int, Optional[Family], tuple[str, ...]]] = {}
+        #: Postings: sequence number -> element, in insertion order.
+        self._unindexable: dict[int, PolicyElement] = {}
+        self._by_family: dict[Family, dict[int, PolicyElement]] = {}
+        self._by_value: dict[tuple[Category, str, str], dict[int, PolicyElement]] = {}
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -101,7 +136,18 @@ class PolicyStore:
         if self.analysis_gate is not None:
             self._gate_check(identifier, element)
         self._elements[identifier] = element
-        self._index_element(identifier, element)
+        seq = self._next_seq
+        self._next_seq += 1
+        entry = _index_entry(element) if self.indexed else None
+        if entry is None:
+            self._unindexable[seq] = element
+            self._filed[identifier] = (seq, None, ())
+            return
+        family, values = entry
+        self._by_family.setdefault(family, {})[seq] = element
+        for value in values:
+            self._by_value.setdefault((*family, value), {})[seq] = element
+        self._filed[identifier] = (seq, family, values)
 
     def _gate_check(self, identifier: str, element: PolicyElement) -> None:
         from .analysis import analyze  # deferred: analysis imports this module
@@ -126,9 +172,16 @@ class PolicyStore:
 
     def remove(self, identifier: str) -> None:
         self._elements.pop(identifier, None)
-        self._unindexable.discard(identifier)
-        for bucket in self._index.values():
-            bucket.discard(identifier)
+        filed = self._filed.pop(identifier, None)
+        if filed is None:
+            return
+        seq, family, values = filed
+        if family is None:
+            del self._unindexable[seq]
+            return
+        _unfile(self._by_family, family, seq)
+        for value in values:
+            _unfile(self._by_value, (*family, value), seq)
 
     def replace(self, element: PolicyElement) -> None:
         self.remove(child_identifier(element))
@@ -140,35 +193,19 @@ class PolicyStore:
     def elements(self) -> list[PolicyElement]:
         return list(self._elements.values())
 
-    def _index_element(self, identifier: str, element: PolicyElement) -> None:
-        if not self.indexed:
-            self._unindexable.add(identifier)
-            return
-        keys = element.target.literal_equality_keys()
-        # Index on the three canonical identifiers only; anything else is
-        # resolvable via PIP and cannot be judged from the raw request.
-        indexable = {
-            (Category.SUBJECT, SUBJECT_ID),
-            (Category.RESOURCE, RESOURCE_ID),
-            (Category.ACTION, ACTION_ID),
-        }
-        chosen: Optional[tuple[Category, str]] = None
-        for key in keys:
-            if key in indexable:
-                chosen = key
-                break
-        if chosen is None:
-            self._unindexable.add(identifier)
-            return
-        for value in keys[chosen]:
-            self._index.setdefault((chosen[0], chosen[1], value), set()).add(
-                identifier
-            )
-
     @property
     def element_count(self) -> int:
         """Top-level elements held — the per-shard state figure of E19."""
         return len(self._elements)
+
+    def lookup_key(self, request: RequestContext) -> tuple:
+        """Everything :meth:`candidates` reads from a request: its string
+        values for each indexed identifier.  Requests with equal keys get
+        equal candidate lists, which is what batch memos key on."""
+        return tuple(
+            request.string_values(category, attribute_id)
+            for category, attribute_id in INDEXED_FAMILIES
+        )
 
     def candidates(
         self, request: RequestContext, stats: Optional[EvaluationStats] = None
@@ -178,24 +215,36 @@ class PolicyStore:
             if stats is not None:
                 stats.candidate_set_size = len(self._elements)
             return self.elements()
-        wanted: set[str] = set(self._unindexable)
-        lookups = (
-            (Category.SUBJECT, SUBJECT_ID, request.subject_id),
-            (Category.RESOURCE, RESOURCE_ID, request.resource_id),
-            (Category.ACTION, ACTION_ID, request.action_id),
-        )
-        for category, attribute_id, value in lookups:
-            if value is None:
+        postings = [self._unindexable] if self._unindexable else []
+        for family, values in zip(
+            INDEXED_FAMILIES, self.lookup_key(request), strict=True
+        ):
+            if not values:
+                # The PIP may still supply the identifier: anything filed
+                # under it could apply.
+                posting = self._by_family.get(family)
+                if posting:
+                    postings.append(posting)
                 continue
-            wanted |= self._index.get((category, attribute_id, value), set())
+            for value in values:
+                posting = self._by_value.get((*family, value))
+                if posting:
+                    postings.append(posting)
+        if not postings:
+            found: list[PolicyElement] = []
+        elif len(postings) == 1:
+            found = list(postings[0].values())
+        else:
+            # Each posting is a sorted run of sequence numbers, so this
+            # sort is a linear merge; the dict drops repeats.
+            merged: dict[int, PolicyElement] = {}
+            for posting in postings:
+                merged.update(posting)
+            found = [merged[seq] for seq in sorted(merged)]
         if stats is not None:
-            stats.policies_skipped_by_index += len(self._elements) - len(wanted)
-            stats.candidate_set_size = len(wanted)
-        return [
-            element
-            for identifier, element in self._elements.items()
-            if identifier in wanted
-        ]
+            stats.policies_skipped_by_index += len(self._elements) - len(found)
+            stats.candidate_set_size = len(found)
+        return found
 
     def partition_for(self, owns: Callable[[str], bool]) -> "PolicyStore":
         """Derive one shard's store under a resource placement.
@@ -223,8 +272,41 @@ class PolicyStore:
         return {
             "elements": len(self._elements),
             "unindexable": len(self._unindexable),
-            "index_keys": len(self._index),
+            "index_keys": len(self._by_value),
         }
+
+
+def _index_entry(
+    element: PolicyElement,
+) -> Optional[tuple[Family, tuple[str, ...]]]:
+    """The identifier family and values the index files ``element`` under.
+
+    The first indexed family the target mentions whose values
+    :meth:`~repro.xacml.targets.Target.constraining_values` bounds; None
+    when no family is bounded, which makes the element a candidate for
+    every request.
+    """
+    target = element.target
+    tried: set[Family] = set()
+    for any_of in target.any_ofs:
+        for all_of in any_of.all_ofs:
+            for match in all_of.matches:
+                family = (match.designator.category, match.designator.attribute_id)
+                if family in tried or family not in INDEXED_FAMILIES:
+                    continue
+                tried.add(family)
+                values = target.constraining_values(*family)
+                if values is not None:
+                    return family, tuple(values)
+    return None
+
+
+def _unfile(postings: dict, key: tuple, seq: int) -> None:
+    """Drop ``seq`` from one posting, and the posting once it is empty."""
+    posting = postings[key]
+    del posting[seq]
+    if not posting:
+        del postings[key]
 
 
 @dataclass
@@ -295,8 +377,8 @@ class PdpEngine:
 
         Element-wise equivalent to calling :meth:`evaluate` on each
         request in order (a property test asserts exactly that), but the
-        batch shares target-index lookups: requests naming the same
-        (subject, resource, action) triple resolve their candidate list
+        batch shares target-index lookups: requests with the same
+        :meth:`PolicyStore.lookup_key` resolve their candidate list
         once.  The store is not refreshed or mutated between elements —
         the "one policy snapshot" guarantee a batched decision query
         carries.
@@ -314,7 +396,7 @@ class PdpEngine:
         for request in requests:
             self.evaluations += 1
             stats = EvaluationStats()
-            key = (request.subject_id, request.resource_id, request.action_id)
+            key = self.store.lookup_key(request)
             candidates = memo.get(key)
             if candidates is None:
                 candidates = self.store.candidates(request, stats)

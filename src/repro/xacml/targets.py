@@ -18,6 +18,7 @@ from .attributes import (
     AttributeDesignator,
     AttributeValue,
     Category,
+    DataType,
     RESOURCE_ID,
     SUBJECT_ID,
     string,
@@ -124,11 +125,12 @@ class Target:
         return not self.any_ofs
 
     def literal_equality_keys(self) -> dict[tuple[Category, str], set[str]]:
-        """Extract {(category, attribute_id): {values}} for target indexing.
+        """Extract {(category, attribute_id): {values}} from every equality
+        match, whatever branch it sits in.
 
-        Only single-AllOf/single-Match equality structures are indexable;
-        anything richer falls back to linear scan.  Used by the engine's
-        policy finder for E14 scalability.
+        A syntactic summary for conflict footprints.  It is *not* a sound
+        applicability bound (see :meth:`constraining_values`), so neither
+        the target index nor delegation scoping uses it.
         """
         keys: dict[tuple[Category, str], set[str]] = {}
         for any_of in self.any_ofs:
@@ -146,9 +148,10 @@ class Target:
         """Values the designated attribute *must* take for a match.
 
         Returns a set ``V`` such that the target can only match requests
-        whose ``(category, attribute_id)`` value is in ``V``, or None
-        when the target does not constrain that attribute.  This is the
-        sound criterion store partitioning needs —
+        whose ``(category, attribute_id)`` string values include one in
+        ``V``, or None when the target does not constrain that
+        attribute.  This is the sound criterion the target index, store
+        partitioning and delegation scoping share —
         :meth:`literal_equality_keys` is *not* enough, because it
         collects equality matches from any branch: a target like
         ``AnyOf[AllOf(resource=r1), AllOf(subject=s1)]`` mentions ``r1``
@@ -156,19 +159,21 @@ class Target:
 
         The target is a conjunction of AnyOf groups, so it is enough for
         *one* AnyOf to be fully constrained: every AllOf alternative in
-        that group carries an equality match on the attribute, making
-        the union of those literals a superset of the matchable values.
+        that group carries a bounding match on the attribute, making the
+        union of those literals a superset of the matchable values.
+        Only :func:`is_bounding_match` matches count; any other equality
+        function leaves the attribute unconstrained.
         """
         for any_of in self.any_ofs:
             values: set[str] = set()
             fully_constrained = bool(any_of.all_ofs)
             for all_of in any_of.all_ofs:
                 found = {
-                    match.value.lexical()
+                    match.value.value
                     for match in all_of.matches
-                    if match.match_function.endswith("-equal")
-                    and match.designator.category is category
+                    if match.designator.category is category
                     and match.designator.attribute_id == attribute_id
+                    and is_bounding_match(match)
                 }
                 if not found:
                     fully_constrained = False
@@ -177,6 +182,28 @@ class Target:
             if fully_constrained:
                 return values
         return None
+
+
+STRING_EQUAL = f"{functions.FUNCTION_PREFIX_1_0}string-equal"
+
+
+def is_bounding_match(match: Match) -> bool:
+    """True when the match is ``string-equal`` of a string literal against
+    an issuer-free string designator.
+
+    Such a match is MATCH exactly when the literal is among the request's
+    string values for the attribute, and NO_MATCH when those values are
+    present and the literal is not — no type error, issuer filter or
+    function semantics can make it anything else.  That is what lets the
+    target index skip an element from the request's values alone.
+    """
+    designator = match.designator
+    return (
+        match.match_function == STRING_EQUAL
+        and match.value.data_type is DataType.STRING
+        and designator.data_type is DataType.STRING
+        and designator.issuer is None
+    )
 
 
 ANY_TARGET = Target()

@@ -97,6 +97,40 @@ class TestDelegation:
         assert [p.policy_id for p in effective] == ["trusted", "in-scope"]
         assert [p.policy_id for p, _ in rejected] == ["out-of-scope"]
 
+    def test_or_target_cannot_widen_delegated_scope(self, registry):
+        """An admin scoped to r1 must not publish a policy whose subject
+        branch grants s1 every resource."""
+        from repro.xacml import RESOURCE_ID, SUBJECT_ID, Category, string
+        from repro.xacml.targets import AllOf, AnyOf, Target, match_equal
+
+        registry.grant(
+            "vo-authority", "r1-admin", Scope(resource_id="r1"), max_depth=1
+        )
+        widening = Policy(
+            policy_id="widening",
+            rules=(permit_rule("p"),),
+            target=Target(
+                any_ofs=(
+                    AnyOf(
+                        all_ofs=(
+                            AllOf((match_equal(Category.RESOURCE, RESOURCE_ID, string("r1")),)),
+                            AllOf((match_equal(Category.SUBJECT, SUBJECT_ID, string("s1")),)),
+                        )
+                    ),
+                )
+            ),
+            issuer="r1-admin",
+        )
+        assert registry.policy_scope(widening) == Scope()
+        assert not registry.validate_issued(widening).valid
+        in_scope = Policy(
+            policy_id="in-scope",
+            rules=(permit_rule("p"),),
+            target=subject_resource_action_target(subject_id="s1", resource_id="r1"),
+            issuer="r1-admin",
+        )
+        assert registry.validate_issued(in_scope).valid
+
     def test_reduction_work_counted(self, registry):
         registry.grant("vo-authority", "a", Scope(), max_depth=2)
         registry.grant("a", "b", Scope(), max_depth=1)

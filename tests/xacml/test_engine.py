@@ -3,17 +3,22 @@
 import pytest
 
 from repro.xacml import (
+    Attribute,
+    Category,
     Decision,
     PdpEngine,
     Policy,
     PolicyStore,
+    RESOURCE_ID,
     RequestContext,
+    SUBJECT_ID,
     combining,
     deny_rule,
     permit_rule,
     string,
     subject_resource_action_target,
 )
+from repro.xacml.targets import AllOf, AnyOf, Target, match_equal
 
 
 def resource_policy(resource_id, subject_id="alice"):
@@ -75,6 +80,79 @@ class TestPolicyStore:
         store.remove("policy-doc-1")
         request = RequestContext.simple("alice", "doc-1", "read")
         assert store.candidates(request) == []
+
+    def test_candidates_keep_insertion_order_across_replace(self):
+        store = PolicyStore(indexed=True)
+        universal = Policy(policy_id="universal", rules=(deny_rule("d"),))
+        first = resource_policy("doc-1")
+        store.add(first)
+        store.add(universal)
+        store.add(resource_policy("doc-2"))
+        request = RequestContext.simple("alice", "doc-1", "read")
+        assert store.candidates(request) == [first, universal]
+        replacement = resource_policy("doc-1", subject_id="bob")
+        store.replace(replacement)
+        assert store.candidates(request) == [universal, replacement]
+        assert store.elements()[-1] is replacement
+
+    def test_or_target_is_not_indexed_under_one_branch(self):
+        """``AnyOf[AllOf(resource=r1), AllOf(subject=s1)]`` matches s1 on
+        any resource, so the index must not file it under r1 alone."""
+        target = Target(
+            any_ofs=(
+                AnyOf(
+                    all_ofs=(
+                        AllOf((match_equal(Category.RESOURCE, RESOURCE_ID, string("r1")),)),
+                        AllOf((match_equal(Category.SUBJECT, SUBJECT_ID, string("s1")),)),
+                    )
+                ),
+            )
+        )
+        request = RequestContext.simple("s1", "r2", "read")
+        for indexed in (True, False):
+            engine = PdpEngine(PolicyStore(indexed=indexed))
+            engine.add_policy(
+                Policy(policy_id="or", rules=(permit_rule("p"),), target=target)
+            )
+            assert engine.decide(request) is Decision.PERMIT
+
+    def test_every_request_id_value_is_looked_up(self):
+        request = RequestContext.simple("alice", "doc", "read")
+        request.add(Category.SUBJECT, Attribute.of(SUBJECT_ID, string("bob")))
+        for indexed in (True, False):
+            engine = PdpEngine(PolicyStore(indexed=indexed))
+            engine.add_policy(
+                Policy(
+                    policy_id="bob-only",
+                    rules=(permit_rule("p"),),
+                    target=subject_resource_action_target(subject_id="bob"),
+                )
+            )
+            assert engine.decide(request) is Decision.PERMIT
+
+    def test_missing_id_keeps_everything_filed_under_it(self):
+        """The PIP may supply an identifier the request lacks."""
+        store = PolicyStore(indexed=True)
+        for index in range(3):
+            store.add(resource_policy(f"doc-{index}"))
+        request = RequestContext()
+        request.add(Category.SUBJECT, Attribute.of(SUBJECT_ID, string("alice")))
+        assert len(store.candidates(request)) == 3
+
+    def test_batch_memo_keys_on_every_id_value(self):
+        engine = PdpEngine(PolicyStore(indexed=True))
+        engine.add_policy(
+            Policy(
+                policy_id="bob-only",
+                rules=(permit_rule("p"),),
+                target=subject_resource_action_target(subject_id="bob"),
+            )
+        )
+        alice = RequestContext.simple("alice", "doc", "read")
+        both = RequestContext.simple("alice", "doc", "read")
+        both.add(Category.SUBJECT, Attribute.of(SUBJECT_ID, string("bob")))
+        decisions = [r.decision for r in engine.evaluate_batch([alice, both])]
+        assert decisions == [Decision.NOT_APPLICABLE, Decision.PERMIT]
 
 
 class TestPdpEngine:
