@@ -20,7 +20,7 @@ architecture adds around it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from ..observability.tracing import TRACE_HEADER, TraceContext
 from ..simnet.message import Message
@@ -41,6 +41,7 @@ from ..wsvc.ws_security import (
 from ..xacml.attributes import AttributeValue, Category, DataType
 from ..xacml.context import RequestContext
 from ..xacml.engine import EngineResponse, PdpEngine, PolicyStore
+from ..xacml.parser import ParseError
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
 from .pap import parse_bundle, parse_revision
 from .pip import parse_pip_response, serialize_pip_query
@@ -62,6 +63,11 @@ CANDIDATE_SET_SERIES = "pdp.candidate_set_size"
 #: Sample series fed with a shard's materialised key count at each
 #: rebalance (per-replica state cardinality, E19).
 SHARD_CARDINALITY_SERIES = "pdp.shard_cardinality"
+
+#: What the SAML/XACML decoders raise on an undecodable payload.
+DECODE_ERRORS = (ValueError, ParseError)
+
+_Decoded = TypeVar("_Decoded")
 
 
 @dataclass
@@ -400,6 +406,16 @@ class PolicyDecisionPoint(Component):
 
     # -- message handlers ---------------------------------------------------------------
 
+    def _decode(self, decoder: Callable[[str], _Decoded], text: str) -> _Decoded:
+        """Decode an inbound query, turning an undecodable payload into a
+        counted ``pdp:bad-request`` fault instead of an exception that
+        would escape the event loop."""
+        try:
+            return decoder(text)
+        except DECODE_ERRORS as exc:
+            self.network.metrics.bump("pdp.bad_request")
+            raise RpcFault("pdp:bad-request", str(exc)) from exc
+
     def _handle_query(self, message: Message):
         if self.config.require_signed_queries:
             self.rejected_queries += 1
@@ -407,7 +423,7 @@ class PolicyDecisionPoint(Component):
                 "pdp:authentication-required",
                 "this PDP only answers signed queries",
             )
-        query = XacmlAuthzDecisionQuery.from_xml(str(message.payload))
+        query = self._decode(XacmlAuthzDecisionQuery.from_xml, str(message.payload))
         engine_response = self.evaluate(query.request)
         statement = XacmlAuthzDecisionStatement(
             response=engine_response.response,
@@ -427,7 +443,9 @@ class PolicyDecisionPoint(Component):
                 "pdp:authentication-required",
                 "this PDP only answers signed queries",
             )
-        batch = XacmlAuthzDecisionBatchQuery.from_xml(str(message.payload))
+        batch = self._decode(
+            XacmlAuthzDecisionBatchQuery.from_xml, str(message.payload)
+        )
         reply = self._answer_batch(batch)
         return self._reply_after_service(
             message,
@@ -480,7 +498,8 @@ class PolicyDecisionPoint(Component):
         failover landed the envelope on a non-owner — are reforwarded to
         their owning replica in one nested call per owner and the
         owner's statements are spliced back in query order.  If the
-        owner is unreachable (or replies malformed) the slots are
+        owner is unreachable, or its reply is undecodable, answers
+        another batch or has the wrong statement count, the slots are
         evaluated locally from the authoritative resolver: correctness
         is preserved, only placement is violated, and the partition does
         not retain the foreign keys.  All three paths are counted
@@ -525,9 +544,12 @@ class PolicyDecisionPoint(Component):
                 answer = XacmlAuthzDecisionBatchStatement.from_xml(
                     str(reply.payload)
                 )
-                if len(answer.statements) == len(group):
+                if (
+                    answer.in_response_to == sub_batch.batch_id
+                    and len(answer.statements) == len(group)
+                ):
                     answers = answer.statements
-            except (RpcTimeout, RpcFault):
+            except (RpcTimeout, RpcFault, *DECODE_ERRORS):
                 answers = None
             if answers is not None:
                 self.reforwarded_batches += 1
@@ -553,7 +575,9 @@ class PolicyDecisionPoint(Component):
         forever); evaluating locally is always correct because the
         attribute resolver is authoritative.
         """
-        batch = XacmlAuthzDecisionBatchQuery.from_xml(str(message.payload))
+        batch = self._decode(
+            XacmlAuthzDecisionBatchQuery.from_xml, str(message.payload)
+        )
         self.owned_batches_served += 1
         reply = self._answer_batch(batch, allow_forward=False)
         return self._reply_after_service(
@@ -635,7 +659,7 @@ class PolicyDecisionPoint(Component):
 
     def _handle_secure_query(self, message: Message):
         clear = self._verify_secure_query(message)
-        query = XacmlAuthzDecisionQuery.from_xml(clear.body_xml)
+        query = self._decode(XacmlAuthzDecisionQuery.from_xml, clear.body_xml)
         engine_response = self.evaluate(query.request)
         statement = XacmlAuthzDecisionStatement(
             response=engine_response.response,
@@ -660,7 +684,7 @@ class PolicyDecisionPoint(Component):
         of N of each.
         """
         clear = self._verify_secure_query(message)
-        batch = XacmlAuthzDecisionBatchQuery.from_xml(clear.body_xml)
+        batch = self._decode(XacmlAuthzDecisionBatchQuery.from_xml, clear.body_xml)
         answer = self._answer_batch(batch)
         reply = self._sign_reply(
             f"{SECURE_BATCH_QUERY_ACTION}:result", answer.to_xml()

@@ -45,6 +45,10 @@ COUNTERS: dict[str, tuple[str, str]] = {
         "components.federation",
         "inbound forward refused: origin domain not on the allow list",
     ),
+    "pdp.bad_request": (
+        "components.pdp",
+        "inbound decision query whose payload did not decode; faulted",
+    ),
     "placement.misrouted": (
         "components.pdp",
         "batch slot that arrived at a replica not owning its key",
@@ -55,7 +59,7 @@ COUNTERS: dict[str, tuple[str, str]] = {
     ),
     "placement.reforward_fallback": (
         "components.pdp",
-        "misrouted slot evaluated locally: owning replica unreachable",
+        "misrouted slot evaluated locally: owner unreachable or its reply unusable",
     ),
     "placement.moved_keys": (
         "components.pdp",

@@ -50,10 +50,13 @@ class DataType(enum.Enum):
 
     @classmethod
     def from_uri(cls, uri: str) -> "DataType":
-        for member in cls:
-            if member.value == uri:
-                return member
-        raise ValueError(f"unsupported data type URI {uri!r}")
+        member = _DATA_TYPES_BY_URI.get(uri)
+        if member is None:
+            raise ValueError(f"unsupported data type URI {uri!r}")
+        return member
+
+
+_DATA_TYPES_BY_URI = {member.value: member for member in DataType}
 
 
 _PYTHON_TYPES: dict[DataType, type | tuple[type, ...]] = {

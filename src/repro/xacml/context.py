@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .attributes import (
     ACTION_ID,
@@ -142,6 +142,17 @@ class RequestContext:
 
     def attributes(self, category: Category) -> list[Attribute]:
         return list(self._attributes[category])
+
+    def groups(self) -> Iterator[tuple[Category, list[Attribute]]]:
+        """The non-empty categories with their attributes, in
+        :class:`Category` declaration order (the order every category
+        key was inserted by the constructor).  The lists are the live
+        ones: read them, do not mutate them."""
+        return (
+            (category, attributes)
+            for category, attributes in self._attributes.items()
+            if attributes
+        )
 
     def bag(
         self,

@@ -3,12 +3,29 @@
 Round-tripping (``parse(serialize(x)) == x`` up to object identity) is
 asserted by property-based tests; the parser is also what PDPs use when
 policies arrive over the wire from PAPs and syndication servers.
+
+Request and response contexts are decoded on every decision, so
+:func:`parse_request` and :func:`parse_response` have a structural fast
+path.  One compiled ``fullmatch`` accepts exactly the shape the template
+encoder in :mod:`repro.xacml.serializer` emits: no whitespace between
+elements, attributes in encoder order, and every attribute value and
+text node drawn from printable ASCII without ``&``, ``<``, ``>`` or
+``"``.  Over that character set the raw substring is exactly what an
+XML parser would report (no entities, no line-end or attribute-value
+normalisation), so compiled element scanners slice the values out and
+build the objects directly.  Any input outside that shape (an XML declaration, a DOCTYPE,
+whitespace, entities, control or non-ASCII characters, another attribute
+order) falls through, unchanged, to the ElementTree decoder.  The fast
+path checks values in the same order as the ElementTree path and raises
+the same exception type and message for an unknown category or data
+type, a bad lexical value or an unknown decision or status code.
 """
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
-from typing import Union
+from typing import Iterable, Optional, Union
 
 from .attributes import (
     Attribute,
@@ -46,22 +63,29 @@ class ParseError(Exception):
     """Raised when a document is not well-formed XACML."""
 
 
+_CATEGORIES_BY_URI = {member.value: member for member in Category}
+
+
 def _category_from_uri(uri: str) -> Category:
-    for member in Category:
-        if member.value == uri:
-            return member
-    raise ParseError(f"unknown attribute category URI {uri!r}")
+    category = _CATEGORIES_BY_URI.get(uri)
+    if category is None:
+        raise ParseError(f"unknown attribute category URI {uri!r}")
+    return category
+
+
+def _value_from(data_type_uri: str, text: str) -> AttributeValue:
+    try:
+        data_type = DataType.from_uri(data_type_uri)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return AttributeValue.parse(data_type, text)
 
 
 def _parse_value(element: ET.Element) -> AttributeValue:
     uri = element.get("DataType")
     if uri is None:
         raise ParseError("AttributeValue missing DataType")
-    try:
-        data_type = DataType.from_uri(uri)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return AttributeValue.parse(data_type, element.text or "")
+    return _value_from(uri, element.text or "")
 
 
 def _parse_designator(element: ET.Element) -> AttributeDesignator:
@@ -146,6 +170,36 @@ def _parse_target(element: ET.Element | None) -> Target:
     return Target(any_ofs=tuple(any_ofs))
 
 
+def _obligation(
+    obligation_id: str,
+    fulfill_on: str,
+    assignments: Iterable[tuple[str, str, str]],
+) -> Obligation:
+    """One obligation from ``(attribute id, data type URI, text)``
+    triples; shared by both decoders so that they fail alike."""
+    parsed = tuple(
+        ObligationAssignment(
+            attribute_id=attribute_id,
+            value=AttributeValue.parse(DataType.from_uri(data_type_uri), text),
+        )
+        for attribute_id, data_type_uri, text in assignments
+    )
+    return Obligation(
+        obligation_id=obligation_id,
+        fulfill_on=Decision(fulfill_on),
+        assignments=parsed,
+    )
+
+
+def _assignment_triples(ob_el: ET.Element) -> Iterable[tuple[str, str, str]]:
+    for assign_el in ob_el.findall("AttributeAssignment"):
+        attribute_id = assign_el.get("AttributeId")
+        data_type_uri = assign_el.get("DataType")
+        if attribute_id is None or data_type_uri is None:
+            raise ParseError("AttributeAssignment missing attributes")
+        yield attribute_id, data_type_uri, assign_el.text or ""
+
+
 def _parse_obligations(element: ET.Element | None) -> tuple[Obligation, ...]:
     if element is None:
         return ()
@@ -155,25 +209,8 @@ def _parse_obligations(element: ET.Element | None) -> tuple[Obligation, ...]:
         fulfill_on = ob_el.get("FulfillOn")
         if obligation_id is None or fulfill_on is None:
             raise ParseError("Obligation missing ObligationId or FulfillOn")
-        assignments = []
-        for assign_el in ob_el.findall("AttributeAssignment"):
-            attribute_id = assign_el.get("AttributeId")
-            data_type_uri = assign_el.get("DataType")
-            if attribute_id is None or data_type_uri is None:
-                raise ParseError("AttributeAssignment missing attributes")
-            data_type = DataType.from_uri(data_type_uri)
-            assignments.append(
-                ObligationAssignment(
-                    attribute_id=attribute_id,
-                    value=AttributeValue.parse(data_type, assign_el.text or ""),
-                )
-            )
         obligations.append(
-            Obligation(
-                obligation_id=obligation_id,
-                fulfill_on=Decision(fulfill_on),
-                assignments=tuple(assignments),
-            )
+            _obligation(obligation_id, fulfill_on, _assignment_triples(ob_el))
         )
     return tuple(obligations)
 
@@ -259,7 +296,7 @@ def parse_policy(xml_text: str) -> Union[Policy, PolicySet]:
     raise ParseError(f"expected <Policy> or <PolicySet>, got <{root.tag}>")
 
 
-def parse_request(xml_text: str) -> RequestContext:
+def _parse_request_tree(xml_text: str) -> RequestContext:
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -292,7 +329,7 @@ def parse_request(xml_text: str) -> RequestContext:
     return request
 
 
-def parse_response(xml_text: str) -> ResponseContext:
+def _parse_response_tree(xml_text: str) -> ResponseContext:
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -327,3 +364,133 @@ def parse_response(xml_text: str) -> ResponseContext:
     if not results:
         raise ParseError("Response has no Result")
     return ResponseContext(results=tuple(results))
+
+
+# -- structural fast path for request/response contexts --------------------------
+
+#: A fast-path attribute value or text node: printable ASCII except
+#: ``"``, ``&``, ``<`` and ``>``.  Over these characters the raw text
+#: is what an XML parser reports, so a slice needs no unescaping.
+_PLAIN = r"[ !#-%'-;=?-~]*"
+_PLAIN1 = r"[ !#-%'-;=?-~]+"
+
+_VALUE_SHAPE = (
+    rf'<AttributeValue DataType="{_PLAIN}"'
+    rf"(?: />|>{_PLAIN}</AttributeValue>)"
+)
+_ATTRIBUTE_SHAPE = (
+    rf'<Attribute AttributeId="{_PLAIN}"(?: Issuer="{_PLAIN}")?>'
+    rf"(?:{_VALUE_SHAPE})+</Attribute>"
+)
+_REQUEST_SHAPE = re.compile(
+    rf'<Request>(?:<Attributes Category="{_PLAIN}">(?:{_ATTRIBUTE_SHAPE})+'
+    rf"</Attributes>)*</Request>|<Request />"
+)
+_ASSIGNMENT_SHAPE = (
+    rf'<AttributeAssignment AttributeId="{_PLAIN}" DataType="{_PLAIN}"'
+    rf"(?: />|>{_PLAIN}</AttributeAssignment>)"
+)
+_OBLIGATION_SHAPE = (
+    rf'<Obligation ObligationId="{_PLAIN}" FulfillOn="{_PLAIN}"'
+    rf"(?: />|>(?:{_ASSIGNMENT_SHAPE})+</Obligation>)"
+)
+_RESPONSE_SHAPE = re.compile(
+    rf'<Response>(?:<Result(?: ResourceId="{_PLAIN}")?>'
+    rf"<Decision>{_PLAIN1}</Decision>"
+    rf'<Status><StatusCode Value="{_PLAIN1}" />'
+    rf"(?:<StatusMessage>{_PLAIN}</StatusMessage>)?</Status>"
+    rf"(?:<Obligations>(?:{_OBLIGATION_SHAPE})+</Obligations>)?"
+    rf"</Result>)+</Response>"
+)
+
+# Element scanners, valid only on input the shapes above accepted (no
+# value can hold a ``<`` or ``"``, so the first close tag is the match).
+
+#: One open tag of a request: ``Attributes``, ``Attribute`` or
+#: ``AttributeValue``; the value of its first XML attribute; the raw
+#: `` Issuer="..."`` attribute, if any; the element text.
+_REQUEST_TAGS = re.compile(
+    r'<(Attributes|Attribute|AttributeValue) \w+="([^"]*)"'
+    r'( Issuer="[^"]*")?(?: />|>([^<]*))'
+)
+_ISSUER_PREFIX = len(' Issuer="')
+_RESULT_ELEMENTS = re.compile(
+    r'<Result(?: ResourceId="([^"]*)")?><Decision>([^<]*)</Decision>'
+    r'<Status><StatusCode Value="([^"]*)" />'
+    r"(?:<StatusMessage>([^<]*)</StatusMessage>)?</Status>"
+    r"(?:<Obligations>(.*?)</Obligations>)?</Result>"
+)
+_OBLIGATION_ELEMENTS = re.compile(
+    r'<Obligation ObligationId="([^"]*)" FulfillOn="([^"]*)"'
+    r"(?: />|>(.*?)</Obligation>)"
+)
+_ASSIGNMENT_ELEMENTS = re.compile(
+    r'<AttributeAssignment AttributeId="([^"]*)" DataType="([^"]*)"'
+    r"(?: />|>([^<]*)</AttributeAssignment>)"
+)
+
+
+def _request_from_shape(xml_text: str) -> RequestContext:
+    # Categories and values are decoded in document order, so the first
+    # bad one raises what the tree decoder would raise.
+    request = RequestContext()
+    category = Category.SUBJECT
+    values: list[AttributeValue] = []
+    pending: list[tuple[Category, str, Optional[str], list[AttributeValue]]] = []
+    for tag, value, issuer_attr, text in _REQUEST_TAGS.findall(xml_text):
+        if tag == "AttributeValue":
+            values.append(_value_from(value, text))
+        elif tag == "Attribute":
+            values = []
+            issuer = issuer_attr[_ISSUER_PREFIX:-1] if issuer_attr else None
+            pending.append((category, value, issuer, values))
+        else:
+            category = _category_from_uri(value)
+    for category, attribute_id, issuer, values in pending:
+        request.add(category, Attribute(attribute_id, tuple(values), issuer))
+    return request
+
+
+def _response_from_shape(xml_text: str) -> ResponseContext:
+    results = []
+    for match in _RESULT_ELEMENTS.finditer(xml_text):
+        # Same evaluation order as the tree decoder: status code,
+        # decision, then obligations.
+        status = Status(code=StatusCode(match[3]), message=match[4] or "")
+        decision = Decision(match[2])
+        obligations = match[5]
+        results.append(
+            Result(
+                decision=decision,
+                status=status,
+                obligations=tuple(
+                    _obligation(
+                        obligation_id,
+                        fulfill_on,
+                        _ASSIGNMENT_ELEMENTS.findall(assignments),
+                    )
+                    for obligation_id, fulfill_on, assignments
+                    in _OBLIGATION_ELEMENTS.findall(obligations)
+                )
+                if obligations
+                else (),
+                resource_id=match[1],
+            )
+        )
+    return ResponseContext(results=tuple(results))
+
+
+def parse_request(xml_text: str) -> RequestContext:
+    """Decode a request context: the fast path on encoder-shaped input,
+    the ElementTree decoder on anything else."""
+    if _REQUEST_SHAPE.fullmatch(xml_text):
+        return _request_from_shape(xml_text)
+    return _parse_request_tree(xml_text)
+
+
+def parse_response(xml_text: str) -> ResponseContext:
+    """Decode a response context: the fast path on encoder-shaped input,
+    the ElementTree decoder on anything else."""
+    if _RESPONSE_SHAPE.fullmatch(xml_text):
+        return _response_from_shape(xml_text)
+    return _parse_response_tree(xml_text)

@@ -5,6 +5,18 @@ The serializer produces compact, standard-shaped XML: policies use
 use ``Request``/``Response``.  Byte sizes of these strings are what the
 communication-performance experiments (E5, E7) measure, so the output is
 canonical-compact (no pretty-printing) and deterministic.
+
+Policies are built as ElementTree trees.  Request and response contexts
+are encoded on every decision, so :func:`serialize_request` and
+:func:`serialize_response` are string templates instead: the open tag of
+each category's ``Attributes`` element and each data type's
+``DataType`` attribute are built once at import, and values pass
+through :func:`repro.xmlutil.escape_text`/:func:`~repro.xmlutil.escape_attr`.
+The output is byte-identical to ``ET.tostring`` of the equivalent tree,
+down to ElementTree's escaping and its `` />`` form for childless
+elements with empty text (an empty string value encodes as
+``<AttributeValue DataType="…" />``); the tests keep that tree builder
+as the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +24,8 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Union
 
-from .attributes import AttributeDesignator, AttributeValue, Category
+from ..xmlutil import escape_attr, escape_text
+from .attributes import AttributeDesignator, AttributeValue, Category, DataType
 from .context import Obligation, RequestContext, ResponseContext
 from .expressions import (
     AllOfFunction,
@@ -28,6 +41,21 @@ from .targets import Target
 
 ANY_OF_FUNCTION_ID = "urn:oasis:names:tc:xacml:1.0:function:any-of"
 ALL_OF_FUNCTION_ID = "urn:oasis:names:tc:xacml:1.0:function:all-of"
+
+#: Context-encoder templates, built once: the open tag of each category's
+#: ``Attributes`` element and the ``DataType`` attribute of each type.
+_ATTRIBUTES_OPEN = {
+    category: f'<Attributes Category="{escape_attr(category.value)}">'
+    for category in Category
+}
+_DATA_TYPE_ATTR = {
+    data_type: f' DataType="{escape_attr(data_type.value)}"'
+    for data_type in DataType
+}
+_VALUE_OPEN = {
+    data_type: f"<AttributeValue{attr}"
+    for data_type, attr in _DATA_TYPE_ATTR.items()
+}
 
 
 def _value_element(value: AttributeValue, tag: str = "AttributeValue") -> ET.Element:
@@ -191,45 +219,83 @@ def serialize_policy(element: Union[Policy, PolicySet]) -> str:
     return ET.tostring(xml_el, encoding="unicode")
 
 
-def request_to_element(request: RequestContext) -> ET.Element:
-    element = ET.Element("Request")
-    for category in Category:
-        attributes = request.attributes(category)
-        if not attributes:
+def _value_xml(value: AttributeValue) -> str:
+    open_tag = _VALUE_OPEN[value.data_type]
+    text = value.lexical()
+    if text:
+        return f"{open_tag}>{escape_text(text)}</AttributeValue>"
+    return f"{open_tag} />"
+
+
+def _obligations_xml(obligations: tuple[Obligation, ...]) -> str:
+    parts = ["<Obligations>"]
+    for obligation in obligations:
+        parts.append(
+            f'<Obligation ObligationId="{escape_attr(obligation.obligation_id)}"'
+            f' FulfillOn="{obligation.fulfill_on.value}"'
+        )
+        if not obligation.assignments:
+            parts.append(" />")
             continue
-        cat_el = ET.SubElement(element, "Attributes", {"Category": category.value})
-        for attribute in attributes:
-            attrib = {"AttributeId": attribute.attribute_id}
-            if attribute.issuer is not None:
-                attrib["Issuer"] = attribute.issuer
-            attr_el = ET.SubElement(cat_el, "Attribute", attrib)
-            for value in attribute.values:
-                attr_el.append(_value_element(value))
-    return element
+        parts.append(">")
+        for assignment in obligation.assignments:
+            value = assignment.value
+            text = value.lexical()
+            parts.append(
+                f'<AttributeAssignment AttributeId="'
+                f'{escape_attr(assignment.attribute_id)}"'
+                f"{_DATA_TYPE_ATTR[value.data_type]}"
+                + (f">{escape_text(text)}</AttributeAssignment>" if text else " />")
+            )
+        parts.append("</Obligation>")
+    parts.append("</Obligations>")
+    return "".join(parts)
 
 
 def serialize_request(request: RequestContext) -> str:
-    return ET.tostring(request_to_element(request), encoding="unicode")
-
-
-def response_to_element(response: ResponseContext) -> ET.Element:
-    element = ET.Element("Response")
-    for result in response.results:
-        attrib = {}
-        if result.resource_id is not None:
-            attrib["ResourceId"] = result.resource_id
-        result_el = ET.SubElement(element, "Result", attrib)
-        decision_el = ET.SubElement(result_el, "Decision")
-        decision_el.text = result.decision.value
-        status_el = ET.SubElement(result_el, "Status")
-        ET.SubElement(status_el, "StatusCode", {"Value": result.status.code.value})
-        if result.status.message:
-            msg_el = ET.SubElement(status_el, "StatusMessage")
-            msg_el.text = result.status.message
-        if result.obligations:
-            result_el.append(_obligations_element(result.obligations))
-    return element
+    parts = []
+    for category, attributes in request.groups():
+        parts.append(_ATTRIBUTES_OPEN[category])
+        for attribute in attributes:
+            parts.append(
+                f'<Attribute AttributeId="{escape_attr(attribute.attribute_id)}"'
+            )
+            if attribute.issuer is not None:
+                parts.append(f' Issuer="{escape_attr(attribute.issuer)}"')
+            if attribute.values:
+                parts.append(">")
+                parts.extend(_value_xml(value) for value in attribute.values)
+                parts.append("</Attribute>")
+            else:
+                parts.append(" />")
+        parts.append("</Attributes>")
+    if not parts:
+        return "<Request />"
+    return f"<Request>{''.join(parts)}</Request>"
 
 
 def serialize_response(response: ResponseContext) -> str:
-    return ET.tostring(response_to_element(response), encoding="unicode")
+    parts = []
+    for result in response.results:
+        resource_id = result.resource_id
+        status = result.status
+        parts.append(
+            "<Result><Decision>"
+            if resource_id is None
+            else f'<Result ResourceId="{escape_attr(resource_id)}"><Decision>'
+        )
+        parts.append(
+            f"{result.decision.value}</Decision>"
+            f'<Status><StatusCode Value="{status.code.value}" />'
+        )
+        if status.message:
+            parts.append(
+                f"<StatusMessage>{escape_text(status.message)}</StatusMessage>"
+            )
+        parts.append("</Status>")
+        if result.obligations:
+            parts.append(_obligations_xml(result.obligations))
+        parts.append("</Result>")
+    if not parts:
+        return "<Response />"
+    return f"<Response>{''.join(parts)}</Response>"
