@@ -7,17 +7,37 @@ that caching and syndication — E5/E6 — exist to reduce) and accepts
 publish/withdraw operations, optionally guarded by an authorisation hook
 so the access control system protects itself with its own machinery
 (paper §3.2, "Security of Access Control Systems").
+
+Policy sync costs O(changed policies) in CPU, with the wire bytes
+unchanged:
+
+* **Fragment cache.**  Each repository entry encodes its element once,
+  on the first retrieve after it was published, and a retrieve joins the
+  cached fragments.  A one-policy write re-encodes one policy.
+* **Digest reuse.**  :func:`parse_bundle` splits a bundle in one linear
+  pass and keys each fragment by a SHA-256 digest of its exact text.  A
+  PDP passes the digests of its previous bundle, so only fragments whose
+  text changed are parsed again.  Content between or after the elements
+  is an error, never a silently shorter policy set.
+* **Fail-closed refresh.**  A PDP whose refresh fails (PAP unreachable,
+  undecodable bundle, a policy that does not parse) keeps its old store
+  and answers with a counted ``pdp:policy-unavailable`` fault, which
+  the PEP turns into a deny.  A publish that does not decode is a
+  counted ``pap:bad-request`` fault.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Union
 
 from ..simnet.message import Message
 from ..simnet.network import Network
-from ..xacml.parser import parse_policy
+from ..xacml.combining import CombiningError
+from ..xacml.parser import ParseError, parse_policy
 from ..xacml.policy import Policy, PolicySet, child_identifier
 from ..xacml.serializer import serialize_policy
 from ..xacml.validation import is_deployable
@@ -35,6 +55,16 @@ class RepositoryEntry:
     version: int
     published_at: float
     publisher: str = ""
+
+    @cached_property
+    def xml(self) -> str:
+        """The element's bundle fragment, encoded on first retrieve.
+
+        Elements are frozen, so the fragment is a pure function of the
+        entry; publishing a replacement makes a new entry.  Encoding
+        lazily keeps bulk publishing as cheap as before.
+        """
+        return serialize_policy(self.element)
 
 
 class PolicyRepository:
@@ -74,6 +104,9 @@ class PolicyRepository:
     def all_elements(self) -> list[PolicyElement]:
         return [entry.element for entry in self._entries.values()]
 
+    def entries(self) -> list[RepositoryEntry]:
+        return list(self._entries.values())
+
     def identifiers(self) -> list[str]:
         return list(self._entries)
 
@@ -84,47 +117,102 @@ class PolicyRepository:
         return identifier in self._entries
 
 
-def serialize_bundle(elements: list[PolicyElement], revision: int) -> str:
-    inner = "".join(serialize_policy(element) for element in elements)
-    return f'<PolicyBundle revision="{revision}">{inner}</PolicyBundle>'
+def serialize_bundle(
+    elements: Iterable[Union[PolicyElement, RepositoryEntry]], revision: int
+) -> str:
+    """Encode a ``<PolicyBundle>``.
 
-
-def parse_bundle(xml_text: str) -> tuple[list[PolicyElement], int]:
-    match = re.match(
-        r'<PolicyBundle revision="(\d+)">(.*)</PolicyBundle>$', xml_text, re.DOTALL
+    A :class:`RepositoryEntry` contributes its cached fragment, so a PAP
+    serving a repository that changed by one policy encodes one policy;
+    a bare element is encoded fresh.  Both give the same bytes.
+    """
+    # One join, so the megabyte-sized text is built without a copy.
+    parts = [f'<PolicyBundle revision="{revision}">']
+    parts.extend(
+        item.xml if isinstance(item, RepositoryEntry) else serialize_policy(item)
+        for item in elements
     )
-    if match is None:
+    parts.append("</PolicyBundle>")
+    return "".join(parts)
+
+
+_BUNDLE_HEAD = re.compile(r'<PolicyBundle revision="(\d+)">')
+_BUNDLE_TAIL = "</PolicyBundle>"
+_ELEMENT_OPEN = re.compile(r"<(Policy|PolicySet)[ >]")
+#: Per top-level tag, its own open and close tags.  A PolicySet's inner
+#: Policies are not PolicySet tokens (and ``<PolicySet`` is not a
+#: ``<Policy[ >]`` token), so the depth counts only the outer tag.
+_ELEMENT_TOKENS = {
+    tag: re.compile(f"<{tag}[ >]|</{tag}>") for tag in ("Policy", "PolicySet")
+}
+
+#: Content digest of a bundle fragment -> the element it parses to.
+FragmentMemo = dict[bytes, PolicyElement]
+
+
+def parse_bundle(
+    xml_text: str, memo: Optional[FragmentMemo] = None
+) -> tuple[list[PolicyElement], int]:
+    """Decode a ``<PolicyBundle>`` into its elements and revision.
+
+    One linear pass splits the top-level ``<Policy>``/``<PolicySet>``
+    fragments; anything else between or after them is a ``ValueError``,
+    never a silently shorter policy set.  ``memo`` maps the fragment
+    digests of the previous bundle to their elements: a fragment whose
+    exact text was seen there is reused, and only new text is parsed.
+    On success ``memo`` is replaced by this bundle's digests; on failure
+    it is left as it was.
+    """
+    head = _BUNDLE_HEAD.match(xml_text)
+    # ``stop`` is where the closing tag starts; like a ``$`` anchor, one
+    # trailing newline after it is allowed.
+    end = len(xml_text) - 1 if xml_text.endswith("\n") else len(xml_text)
+    stop = end - len(_BUNDLE_TAIL)
+    if (
+        head is None
+        or stop < head.end()
+        or not xml_text.startswith(_BUNDLE_TAIL, stop)
+    ):
         raise ValueError("not a PolicyBundle")
-    revision = int(match.group(1))
-    inner = match.group(2)
+    revision = int(head.group(1))
+    previous = memo or {}
+    current: FragmentMemo = {}
     elements: list[PolicyElement] = []
-    # Split top-level <Policy>/<PolicySet> elements with a nesting-aware scan.
-    position = 0
-    while position < len(inner):
-        open_match = re.match(r"<(Policy|PolicySet)[ >]", inner[position:])
-        if open_match is None:
-            break
-        tag = open_match.group(1)
-        depth = 0
-        cursor = position
-        token = re.compile(f"<{tag}[ >]|</{tag}>")
+    position = head.end()
+    while position < stop:
+        opened = _ELEMENT_OPEN.match(xml_text, position, stop)
+        if opened is None:
+            raise ValueError(
+                f"unexpected content at offset {position - head.end()} "
+                f"of PolicyBundle: {xml_text[position:position + 20]!r}"
+            )
+        tag = opened.group(1)
+        tokens = _ELEMENT_TOKENS[tag]
+        close = f"</{tag}>"
+        depth = 1
+        cursor = opened.end()
         while True:
-            next_token = token.search(inner, cursor)
-            if next_token is None:
+            token = tokens.search(xml_text, cursor, stop)
+            if token is None:
                 raise ValueError(f"unbalanced <{tag}> in bundle")
-            if next_token.group(0).startswith(f"</{tag}"):
-                depth -= 1
-            else:
+            cursor = token.end()
+            if token.group(0) != close:
                 depth += 1
-            cursor = next_token.end()
-            if next_token.group(0).startswith(f"</{tag}") and depth == 0:
+                continue
+            depth -= 1
+            if depth == 0:
                 break
-        # PolicySet can contain Policy; scanning for the *same* tag keeps
-        # the depth bookkeeping correct because inner Policies inside a
-        # PolicySet only match when tag == "Policy".
-        end = inner.find(">", cursor - 1) + 1 if inner[cursor - 1] != ">" else cursor
-        elements.append(parse_policy(inner[position:end]))
-        position = end
+        fragment = xml_text[position:cursor]
+        digest = hashlib.sha256(fragment.encode("utf-8", "surrogatepass")).digest()
+        element = previous.get(digest)
+        if element is None:
+            element = parse_policy(fragment)
+        current[digest] = element
+        elements.append(element)
+        position = cursor
+    if memo is not None:
+        memo.clear()
+        memo.update(current)
     return elements, revision
 
 
@@ -217,20 +305,25 @@ class PolicyAdministrationPoint(Component):
     def _handle_retrieve(self, message: Message) -> str:
         self.retrievals_served += 1
         return serialize_bundle(
-            self.repository.all_elements(), self.repository.revision
+            self.repository.entries(), self.repository.revision
         )
 
     def _handle_revision(self, message: Message) -> str:
         return f'<PapRevision value="{self.repository.revision}"/>'
 
     def _handle_publish(self, message: Message) -> str:
-        element = parse_policy(str(message.payload))
+        try:
+            element = parse_policy(str(message.payload))
+        except (ParseError, ValueError, CombiningError) as exc:
+            self.network.metrics.bump("pap.bad_request")
+            raise RpcFault("pap:bad-request", str(exc)) from exc
         version = self.publish(element, publisher=message.sender)
         return f'<PapAck policyId="{child_identifier(element)}" version="{version}"/>'
 
     def _handle_withdraw(self, message: Message) -> str:
         match = re.match(r'<PapWithdraw policyId="([^"]*)"/>$', str(message.payload))
         if match is None:
+            self.network.metrics.bump("pap.bad_request")
             raise RpcFault("pap:bad-request", "malformed withdraw")
         removed = self.withdraw(match.group(1), requester=message.sender)
         return f'<PapAck policyId="{match.group(1)}" removed="{str(removed).lower()}"/>'

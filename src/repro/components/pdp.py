@@ -39,11 +39,12 @@ from ..wsvc.ws_security import (
     verify_envelope,
 )
 from ..xacml.attributes import AttributeValue, Category, DataType
+from ..xacml.combining import CombiningError
 from ..xacml.context import RequestContext
 from ..xacml.engine import EngineResponse, PdpEngine, PolicyStore
 from ..xacml.parser import ParseError
 from .base import Component, ComponentIdentity, RpcFault, RpcTimeout
-from .pap import parse_bundle, parse_revision
+from .pap import FragmentMemo, parse_bundle, parse_revision
 from .pip import parse_pip_response, serialize_pip_query
 from .placement import AttributePartition, AttributeResolver, PlacementSpec
 
@@ -66,6 +67,9 @@ SHARD_CARDINALITY_SERIES = "pdp.shard_cardinality"
 
 #: What the SAML/XACML decoders raise on an undecodable payload.
 DECODE_ERRORS = (ValueError, ParseError)
+
+#: What a policy refresh raises when the PAP or its bundle fails.
+REFRESH_ERRORS = (RpcTimeout, RpcFault, CombiningError, *DECODE_ERRORS)
 
 _Decoded = TypeVar("_Decoded")
 
@@ -167,6 +171,8 @@ class PolicyDecisionPoint(Component):
             )
         self._policies_fetched_at: Optional[float] = None
         self._cached_revision: Optional[int] = None
+        #: Fragment digests of the last bundle -> their parsed elements.
+        self._fragment_memo: FragmentMemo = {}
         self.decisions_made = 0
         self.pip_queries_sent = 0
         self.policy_fetches = 0
@@ -190,7 +196,16 @@ class PolicyDecisionPoint(Component):
         self.engine.store.add(element)
 
     def _ensure_policies(self) -> None:
-        """Refresh the policy store from the PAP when the cache is stale."""
+        """Refresh the policy store from the PAP when the cache is stale.
+
+        The refresh reparses only bundle fragments whose text changed
+        since the last bundle, then builds a fresh store.  Any failure
+        (PAP unreachable or faulting, an undecodable revision or bundle,
+        a policy that does not parse or load) is a counted
+        ``pdp.refresh_failed`` and a ``pdp:policy-unavailable`` fault, so
+        the PEP fails safe.  The old store and revision stay, and the
+        cache stays stale, so the next decision retries.
+        """
         if self.pap_address is None:
             return
         fresh = (
@@ -200,19 +215,30 @@ class PolicyDecisionPoint(Component):
         )
         if fresh:
             return
-        if self.config.refresh_mode == "probe" and self._cached_revision is not None:
-            reply = self.call(self.pap_address, "pap.revision", "<PapQuery/>")
-            self.revision_probes += 1
-            revision = parse_revision(str(reply.payload))
-            if revision == self._cached_revision:
-                self._policies_fetched_at = self.now
-                return
-        reply = self.call(self.pap_address, "pap.retrieve", "<PapQuery scope=\"all\"/>")
-        self.policy_fetches += 1
-        elements, revision = parse_bundle(str(reply.payload))
-        store = PolicyStore(indexed=self.config.indexed_store)
-        for element in elements:
-            store.add(element)
+        try:
+            if (
+                self.config.refresh_mode == "probe"
+                and self._cached_revision is not None
+            ):
+                reply = self.call(self.pap_address, "pap.revision", "<PapQuery/>")
+                self.revision_probes += 1
+                revision = parse_revision(str(reply.payload))
+                if revision == self._cached_revision:
+                    self._policies_fetched_at = self.now
+                    return
+            reply = self.call(
+                self.pap_address, "pap.retrieve", "<PapQuery scope=\"all\"/>"
+            )
+            self.policy_fetches += 1
+            elements, revision = parse_bundle(
+                str(reply.payload), self._fragment_memo
+            )
+            store = PolicyStore(indexed=self.config.indexed_store)
+            for element in elements:
+                store.add(element)
+        except REFRESH_ERRORS as exc:
+            self.network.metrics.bump("pdp.refresh_failed")
+            raise RpcFault("pdp:policy-unavailable", str(exc)) from exc
         self.engine.store = store
         self._cached_revision = revision
         self._policies_fetched_at = self.now

@@ -49,6 +49,14 @@ COUNTERS: dict[str, tuple[str, str]] = {
         "components.pdp",
         "inbound decision query whose payload did not decode; faulted",
     ),
+    "pdp.refresh_failed": (
+        "components.pdp",
+        "policy refresh from the PAP failed; old store kept, decision faulted",
+    ),
+    "pap.bad_request": (
+        "components.pap",
+        "publish/withdraw request whose payload did not decode; faulted",
+    ),
     "placement.misrouted": (
         "components.pdp",
         "batch slot that arrived at a replica not owning its key",
